@@ -171,11 +171,14 @@ class EngineCore(ABC):
         """Invoke ``callback(*args)`` after ``delay`` seconds."""
 
     async def _yield_control(self) -> None:
-        """Give IO tasks a chance to run between busy engine rounds.
+        """Backend hook run after every pass that made progress.
 
-        The default keeps control (a no-op await): the cooperative sim
-        kernel needs no breathing room.  Preemptible backends override
-        this with a true reschedule.
+        The default keeps control (a no-op await).  The asyncio backend
+        overrides it with a true reschedule so IO tasks can breathe; the
+        simulator overrides it to park at once when the pass left no
+        work.  Parking belongs in the hook, not in the shared loop: on
+        asyncio, the round that follows a yield is part of how weighted
+        round-robin splits the output between upstreams.
         """
 
     def _on_engine_start(self) -> None:
@@ -218,11 +221,14 @@ class EngineCore(ABC):
         scheduler pass no matter how many are buffered.  The asyncio
         backend raises this so one wakeup sweeps the whole backlog into
         the send queues and the per-peer sender flushes it as one
-        batch.  The simulator keeps the default: its figures depend on
-        the one-round-per-step interleaving, and virtual-clock wakeups
-        cost nothing anyway.  Weighted fairness is unaffected — rounds
-        replenish credits by weight, so the *ratio* between competing
-        upstreams holds regardless of how many rounds run back to back.
+        batch.  The simulator keeps the default because its figures
+        depend on the one-round-per-step interleaving, not because its
+        wakeups are free: virtual time does not advance during one, but
+        each costs wall-clock time in the kernel, and wakeups are a large
+        share of the simulator's cost.  Weighted fairness is
+        unaffected — rounds replenish credits by weight, so the *ratio*
+        between competing upstreams holds regardless of how many rounds
+        run back to back.
         """
         return 1
 
@@ -234,9 +240,10 @@ class EngineCore(ABC):
         sweeps, sender drains, and ring batches then carry the whole
         wave per cycle, amortizing the fixed per-wakeup costs that
         otherwise dominate when exactly one message trickles through the
-        pipeline per event-loop pass.  The simulator keeps the default —
-        its virtual clock makes wakeups free, and figure determinism
-        depends on the one-emission-per-step cadence.
+        pipeline per event-loop pass.  The simulator keeps the default
+        because figure determinism depends on the one-emission-per-step
+        cadence.  Its wakeups are not free either: each takes no virtual
+        time but costs wall-clock time in the kernel.
         """
         return 1
 
@@ -532,12 +539,20 @@ class EngineCore(ABC):
         congestion — where every message traverses the pending path —
         competing upstreams still share the output in weight proportion.
         When every port with work has exhausted its credit, a new credit
-        epoch starts and the pass reruns.
+        epoch starts as the pass begins, and the pass then switches with
+        the fresh credits.
         """
-        progressed = False
         ins = self._ins
+        scheduler = self._scheduler
+        # has_work() is O(1) and may read stale-positive; _credits_spent
+        # then makes the exact decision in one scan.
+        if scheduler.has_work() and self._credits_spent():
+            scheduler.replenish_credits(self._credit_scale())
+            if ins is not None:
+                ins.n_credit_epochs += 1
+        progressed = False
         moved = 0
-        for port in self._scheduler.rotation():
+        for port in scheduler.rotation():
             if not port.has_work():
                 continue
             if port.credit <= 0:
@@ -584,30 +599,26 @@ class EngineCore(ABC):
             ins.n_switch_rounds += 1
             if moved:
                 ins.observe_batch(float(moved))
-        # Epoch boundary: once every port that still has work has spent its
-        # credit, start a new epoch.  (Ports with credit left keep their
-        # claim on upcoming sender-buffer slots, which is exactly what makes
-        # the weight ratio hold under output congestion.)  The backlog must
-        # be explicitly non-empty: the scheduler's O(1) has_work() can read
-        # momentarily-stale counters, and a vacuous all() over zero backlog
-        # ports would fire a spurious epoch with progressed=True.
-        scheduler = self._scheduler
-        has_backlog = False
-        if scheduler.has_work():  # O(1) pre-filter; may be stale-positive
-            all_spent = True
-            for port in scheduler.ports_view():
-                if port.has_work():
-                    has_backlog = True
-                    if port.credit > 0:
-                        all_spent = False
-                        break
-            has_backlog = has_backlog and all_spent
-        if has_backlog:
-            scheduler.replenish_credits(self._credit_scale())
-            if ins is not None:
-                ins.n_credit_epochs += 1
-            progressed = True  # rerun the switch with fresh credits
         return progressed
+
+    def _credits_spent(self) -> bool:
+        """True when a new credit epoch is due: every port that has work
+        has spent its credit.
+
+        Ports with credit left keep their claim on upcoming sender-buffer
+        slots, which is exactly what makes the weight ratio hold under
+        output congestion.  The backlog must be explicitly non-empty: the
+        scheduler's O(1) has_work() can read momentarily-stale counters,
+        and an empty backlog must not start an epoch.  One scan, stopping
+        at the first port with work and credit.
+        """
+        backlog = False
+        for port in self._scheduler.ports_view():
+            if port.has_work():
+                if port.credit > 0:
+                    return False
+                backlog = True
+        return backlog
 
     def _peer_str(self, node: NodeId) -> str:
         """Cached ``str(node)`` for telemetry labels (NodeId.__str__ formats)."""

@@ -335,6 +335,10 @@ class SwitchScheduler:
             return any(port.has_work() for port in self._seq)
         return False
 
+    def has_pending(self) -> bool:
+        """True if any port holds a forward that still owes deliveries (O(1))."""
+        return self._pending_ports > 0
+
     def total_buffered(self) -> int:
         """Total messages waiting across all receiver buffers (O(1))."""
         if self._unhooked:

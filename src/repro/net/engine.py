@@ -160,6 +160,9 @@ class AsyncioEngine(EngineCore):
         # and the bounded observer outbox (drop-oldest on overflow).
         res = self.config.resilience
         self._dialing: dict[NodeId, asyncio.Task] = {}
+        #: send queues of peers still being dialed by _dispatch; the dial
+        #: registers the peer with this very queue (see _register_peer)
+        self._staged: dict[NodeId, AsyncBoundedQueue] = {}
         rng = random.Random(res.seed ^ hash((node_id.ip, node_id.port)))
         self._peer_backoff = BackoffPolicy.for_peers(res, rng)
         self._observer_backoff = BackoffPolicy.for_observer(res, rng)
@@ -219,6 +222,9 @@ class AsyncioEngine(EngineCore):
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
         self._dialing.clear()
+        for queue in self._staged.values():
+            queue.close()
+        self._staged.clear()
 
     # ------------------------------------------------------ Clock / ObserverSink
 
@@ -247,28 +253,43 @@ class AsyncioEngine(EngineCore):
         if self._ins is not None and msg.type == MsgType.DATA:
             self._data_sends += 1
         peer = self._peers.get(dest)
-        if peer is None:
-            # Connection establishment is asynchronous; buffer the message
-            # with the connect task so send() itself never blocks.
-            self._tasks.append(asyncio.ensure_future(self._connect_and_send(dest, msg)))
+        if peer is not None:
+            self._enqueue_to_peer(peer, msg)
             return
-        self._enqueue_to_peer(peer, msg)
+        # Connection establishment is asynchronous, so send() never
+        # blocks on it: the message waits in the send queue the peer
+        # will be registered with.  It keeps its order, and data meets
+        # the buffer bound like on any link (overflow defers to the
+        # switch, which retries into this same queue).
+        queue = self._staged.get(dest)
+        if queue is None:
+            queue = self._staged[dest] = AsyncBoundedQueue(self.config.buffer_capacity)
+            self._tasks.append(asyncio.ensure_future(self._dial_staged(dest)))
+        self._stage(msg, dest, queue)
 
     def _enqueue_to_peer(self, peer: _Peer, msg: Message) -> None:
         if peer.send_queue.closed:
             return
         self._stage(msg, peer.node, peer.send_queue)
 
-    async def _connect_and_send(self, dest: NodeId, msg: Message) -> None:
-        peer = await self._ensure_peer(dest)
-        if peer is None:
-            self._notify_broken_link(dest, direction="down")
-            return
-        self._enqueue_to_peer(peer, msg)
+    async def _dial_staged(self, dest: NodeId) -> None:
+        """Dial ``dest`` for messages sent before any connection to it."""
+        if await self._ensure_peer(dest) is not None:
+            return  # registered with the staged queue
+        queue = self._staged.pop(dest, None)
+        if queue is None:
+            return  # stopped meanwhile
+        for msg in queue.drain():
+            self._record_loss(msg)
+        queue.close()
+        self._forget_dest(dest)
+        self._notify_broken_link(dest, direction="down")
 
     def _outbound_queue(self, dest: NodeId) -> AsyncBoundedQueue | None:
         peer = self._peers.get(dest)
-        return None if peer is None else peer.send_queue
+        if peer is not None:
+            return peer.send_queue
+        return self._staged.get(dest)
 
     def downstreams(self) -> list[NodeId]:
         """Peers this node holds a persistent connection to."""
@@ -369,16 +390,7 @@ class AsyncioEngine(EngineCore):
             peer.stats_out.loss.record(msg.size)
             self._record_loss(msg)
         self._close_peer(peer)
-        self.throttle.drop_link(dest)
-        for port in self._scheduler.ports:
-            port.discard_dest(dest)
-        if self._source_pending is not None:
-            for forward in self._source_pending:
-                forward.remaining = [d for d in forward.remaining if d != dest]
-        for app in list(self._app_downstreams):
-            self._app_downstreams[app].discard(dest)
-        self._send_space.set()
-        self._wake.set()
+        self._forget_dest(dest)
 
     async def _ensure_peer(self, dest: NodeId) -> _Peer | None:
         peer = self._peers.get(dest)
@@ -519,11 +531,14 @@ class AsyncioEngine(EngineCore):
     def _register_peer(self, node: NodeId, reader: Any, writer: Any) -> _Peer:
         buffer: AsyncBoundedQueue[Message] = AsyncBoundedQueue(self.config.buffer_capacity)
         port = ReceiverPort(peer=node, buffer=buffer)  # type: ignore[arg-type]
+        send_queue = self._staged.pop(node, None)  # sent to while dialing
+        if send_queue is None:
+            send_queue = AsyncBoundedQueue(self.config.buffer_capacity)
         peer = _Peer(
             node=node,
             reader=reader,
             writer=writer,
-            send_queue=AsyncBoundedQueue(self.config.buffer_capacity),
+            send_queue=send_queue,
             port=port,
             stats_out=LinkStats(),
             stats_in=LinkStats(),
@@ -577,18 +592,22 @@ class AsyncioEngine(EngineCore):
             peer.stats_out.loss.record(msg.size)
             self._record_loss(msg)
         self._close_peer(peer)
-        self.throttle.drop_link(peer.node)
-        for port in self._scheduler.ports:
-            port.discard_dest(peer.node)
-        if self._source_pending is not None:
-            for forward in self._source_pending:
-                forward.remaining = [d for d in forward.remaining if d != peer.node]
-        for app in list(self._app_downstreams):
-            self._app_downstreams[app].discard(peer.node)
+        self._forget_dest(peer.node)
         self._notify_broken_link(peer.node, direction="both")
         # Domino effect: a full-duplex peer was also an upstream, so any
         # application fed exclusively through it has lost its source.
         self._domino_upstream_lost(peer.node)
+
+    def _forget_dest(self, dest: NodeId) -> None:
+        """Drop every outbound obligation toward a destination now gone."""
+        self.throttle.drop_link(dest)
+        for port in self._scheduler.ports:
+            port.discard_dest(dest)
+        if self._source_pending is not None:
+            for forward in self._source_pending:
+                forward.remaining = [d for d in forward.remaining if d != dest]
+        for app in list(self._app_downstreams):
+            self._app_downstreams[app].discard(dest)
         self._send_space.set()
         self._wake.set()
 

@@ -216,6 +216,14 @@ class SimEngine(EngineCore):
     def _call_later(self, delay: float, callback: Any, *args: Any) -> None:
         self.kernel.call_later(delay, callback, *args)
 
+    async def _yield_control(self) -> None:
+        # The kernel is cooperative, so nothing can add work while this
+        # task runs: after a pass that left no buffered or pending message
+        # and no control message, another round would switch nothing.
+        if self._running and not self._scheduler.has_work() and self._control.is_empty:
+            self._wake.clear()
+            await self._wake.wait()
+
     def _on_engine_start(self) -> None:
         # Table 1: start the TCP server, bootstrap from observer, then loop.
         self._send_boot()
@@ -455,7 +463,10 @@ class SimEngine(EngineCore):
                 if ins.tracer.enabled:
                     ins.trace_msg(now, EventType.FORWARD, msg, label)
             self._send_space.set()
-            self._wake.set()
+            # Freed send space is news to the engine only when a forward
+            # waits on it; otherwise the wake-up would switch nothing.
+            if self._scheduler.has_pending():
+                self._wake.set()
 
     def _sender_failed(self, sender: _SenderLink, undelivered: list[Message]) -> None:
         """An outgoing connection failed mid-send."""

@@ -15,8 +15,9 @@ through other coroutines) can run on it.
 Determinism guarantees:
 
 - events fire in (time, creation sequence) order — FIFO among ties;
-- task wake-ups are themselves events, so the interleaving is a pure
-  function of the program and the seed.
+- task wake-ups are themselves events (a sleeping task's wake-up is
+  its timer event), so the interleaving is a pure function of the
+  program and the seed.
 
 Two event stores back those guarantees.  Timed events (``call_at``,
 ``call_later``, ``sleep``) live in a binary heap; *immediate* events
@@ -32,6 +33,14 @@ retires the underlying timer immediately instead of leaving a dead
 entry in the heap until its deadline.  Dead entries that do arise are
 skipped on pop and compacted away when they outnumber the live ones,
 so the heap stays bounded under arbitrary spawn/cancel churn.
+
+A sleep is one event, not two.  When a task parks on a ``sleep``
+future that nobody else awaits, its timer entry is repointed to
+:func:`_resume_sleeper`, which resolves the future and steps the task
+inside the timer event, instead of queueing a second, ready event for
+the step.  The step therefore runs at the timer's own place in (time,
+sequence) order, not after every other event due at that instant.  A
+waiter added later restores the plain resolve-then-wake path.
 """
 
 from __future__ import annotations
@@ -150,14 +159,32 @@ class Future:
         if self._done:
             callback(self)
         elif self._callback is None:
-            self._callback = callback
+            if self._timer is not None and self._timer[_CALLBACK] is _resume_sleeper:
+                self._unpark_sleeper()
+                self._callbacks = [callback]
+            else:
+                self._callback = callback
         elif self._callbacks is None:
             self._callbacks = [callback]
         else:
             self._callbacks.append(callback)
 
+    def _unpark_sleeper(self) -> None:
+        """Undo the sleep fast path: the timer resolves this future again,
+        and the parked task becomes its first done-callback, in the slot
+        it would have taken without the fast path."""
+        timer = self._timer
+        task = timer[_ARGS][0]
+        timer[_CALLBACK] = Kernel._resolve_sleep
+        timer[_ARGS] = (self,)
+        self._callback = task._wake
+
     def _fire(self) -> None:
         callback = self._callback
+        if callback is None and self._timer is not None \
+                and self._timer[_CALLBACK] is _resume_sleeper:
+            self._unpark_sleeper()  # resolved early, by hand
+            callback = self._callback
         if callback is not None:
             self._callback = None
             callback(self)
@@ -275,7 +302,14 @@ class Task:
             )
             return
         self._waiting_on = yielded
-        yielded.add_done_callback(self._wake)
+        timer = yielded._timer
+        if (timer is not None and yielded._callback is None
+                and timer[_CALLBACK] is Kernel._resolve_sleep):
+            # Sole waiter on a pending sleep: the timer resumes us itself.
+            timer[_CALLBACK] = _resume_sleeper
+            timer[_ARGS] = (self,)
+        else:
+            yielded.add_done_callback(self._wake)
 
     def _wake(self, future: Future) -> None:
         # Ignore stale wake-ups from futures we abandoned on cancellation.
@@ -314,6 +348,15 @@ class Task:
     def __repr__(self) -> str:
         state = "finished" if self._finished else ("cancelled" if self._cancelled else "running")
         return f"Task({self.name!r}, {state})"
+
+
+def _resume_sleeper(task: Task) -> None:
+    """Timer callback of a sleep whose only waiter is the parked ``task``:
+    resolve the future and step the task within this same event."""
+    future = task._waiting_on
+    future._done = True
+    task._waiting_on = None
+    task._step_send(None)
 
 
 class Kernel:

@@ -222,3 +222,93 @@ def test_hundred_nodes_report_status_to_observer():
     assert reported >= N, f"only {reported} nodes reported status"
     assert delivered > 0  # data crossed the whole 100-hop chain
     assert dials == N - 1  # every chain hop brokered in-process
+
+
+class _OrderSink(SinkAlgorithm):
+    def __init__(self):
+        super().__init__()
+        self.seqs = []
+
+    def on_data(self, msg):
+        self.seqs.append(msg.seq)
+        return super().on_data(msg)
+
+
+def _slow_dials(engine, delay, backlog):
+    """Hold every dial of ``engine`` for ``delay`` seconds, then record the
+    outbound backlog that accumulated while it was in flight."""
+    dial = engine._open_connection
+
+    async def slow(dest):
+        await asyncio.sleep(delay)
+        queue = engine._outbound_queue(dest)
+        backlog.append(0 if queue is None else len(queue))
+        return await dial(dest)
+
+    engine._open_connection = slow
+
+
+def test_chain_dialed_lazily_keeps_order_and_buffer_bound():
+    """No pre-connect, source started at once, every dial held 50 ms:
+    messages sent while a dial is in flight wait in the peer's send
+    queue, bounded like any other data, and reach the sink in order."""
+
+    capacity = 10
+
+    async def scenario():
+        host = VirtualHost()
+        config = NetEngineConfig(buffer_capacity=capacity)
+        algs = [CopyForwardAlgorithm() for _ in range(5)] + [_OrderSink()]
+        engines = [host.add_node(alg, config=config) for alg in algs]
+        await host.start()
+        backlog = []
+        for engine in engines:
+            _slow_dials(engine, 0.05, backlog)
+        for alg, nxt in zip(algs, engines[1:]):
+            alg.set_downstreams([nxt.node_id])
+        engines[0].start_source(app=1, payload_size=1000)
+        await asyncio.sleep(0.8)
+        await host.stop()
+        return algs[-1].seqs, backlog
+
+    seqs, backlog = run(scenario())
+    assert len(seqs) > 100
+    order_errors = sum(1 for a, b in zip(seqs, seqs[1:]) if b != a + 1)
+    assert order_errors == 0
+    assert seqs[0] == 0
+    assert len(backlog) == 5 and max(backlog) > 0  # sends really waited on dials
+    assert max(backlog) <= capacity
+
+
+def test_failed_lazy_dial_reports_once_and_counts_every_message_lost():
+    broken = []
+
+    class Recorder(CopyForwardAlgorithm):
+        def on_broken_link(self, msg):
+            broken.append(msg.fields())
+            return super().on_broken_link(msg)
+
+    async def scenario():
+        host = VirtualHost()
+        alg = Recorder()
+        a, b = host.add_node(alg), host.add_node(SinkAlgorithm())
+        await host.start()
+        await b.stop()
+        for seq in range(5):
+            a.send(Message(MsgType.DATA, a.node_id, 1, b"x" * 100, seq=seq), b.node_id)
+        for _ in range(200):  # the dial retries with backoff, then gives up
+            if broken:
+                break
+            await asyncio.sleep(0.01)
+        await asyncio.sleep(0.05)
+        report = a._status_report().fields()
+        downstreams = a.downstreams()
+        await host.stop()
+        return report, downstreams
+
+    report, downstreams = run(scenario())
+    assert len(broken) == 1
+    assert broken[0]["direction"] == "down"
+    assert report["lost_messages"] == 5
+    assert report["lost_bytes"] > 0
+    assert downstreams == []

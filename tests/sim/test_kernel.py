@@ -161,3 +161,110 @@ def test_run_until_complete_deadlock_detection():
 
     with pytest.raises(SimulationError, match="deadlock"):
         kernel.run_until_complete(stuck())
+
+
+# --- sleep fast path: a sole sleeper is resumed by its own timer event ---
+
+
+def test_sleep_costs_one_event_per_resume():
+    kernel = Kernel()
+
+    async def sleeper():
+        for _ in range(10):
+            await kernel.sleep(1.0)
+
+    kernel.spawn(sleeper())
+    kernel.run()
+    # one spawn step, then one timer event per sleep: the resume runs
+    # inside the timer event instead of as a second, ready event
+    assert kernel._sequence == 1 + 10
+    assert kernel.now == 10.0
+
+
+def test_cancelling_a_sleeping_task_retires_its_timer():
+    kernel = Kernel()
+
+    async def sleeper():
+        await kernel.sleep(100)
+
+    task = kernel.spawn(sleeper())
+    kernel.run(until=1.0)
+    assert kernel.pending_timers == 1
+    task.cancel()
+    assert kernel.pending_timers == 0
+    kernel.run()
+    assert task.cancelled and task.finished
+    assert kernel.now == 1.0  # the retired timer never advanced the clock
+
+
+def test_second_task_awaiting_the_same_sleep_also_resumes():
+    kernel = Kernel()
+    woke = []
+
+    async def sleeper(sleep):
+        await sleep
+        woke.append(("sleeper", kernel.now))
+
+    async def follower(sleep):
+        await kernel.sleep(1.0)  # joins after the sleeper has parked
+        await sleep
+        woke.append(("follower", kernel.now))
+
+    sleep = kernel.sleep(5.0)
+    kernel.spawn(sleeper(sleep))
+    kernel.spawn(follower(sleep))
+    kernel.run()
+    assert woke == [("sleeper", 5.0), ("follower", 5.0)]
+
+
+def test_sleep_future_resolved_early_by_hand_wakes_its_sleeper():
+    kernel = Kernel()
+    woke = []
+
+    async def sleeper(sleep):
+        await sleep
+        woke.append(kernel.now)
+
+    sleep = kernel.sleep(5.0)
+    kernel.spawn(sleeper(sleep))
+    kernel.call_at(2.0, sleep.set_result, None)
+    kernel.run()
+    assert woke == [2.0]
+
+
+def test_timeout_around_a_sleep_still_fires():
+    kernel = Kernel()
+    cleaned = []
+
+    async def slow():
+        try:
+            await kernel.sleep(10.0)
+        finally:
+            cleaned.append(kernel.now)
+
+    with pytest.raises(SimulationError, match="timed out"):
+        kernel.run_until_complete(slow(), timeout=3.0)
+    assert kernel.now == 3.0
+    assert len(cleaned) == 1  # the sleeper saw the cancellation
+    assert kernel.pending_timers == 0
+
+
+def test_sleepers_due_at_the_same_instant_resume_in_creation_order():
+    def run_once():
+        kernel = Kernel()
+        order = []
+
+        async def sleeper(name, first):
+            await kernel.sleep(first)
+            await kernel.sleep(2.0 - first)  # every sleeper is due at t=2.0
+            order.append(name)
+
+        for i, first in enumerate([0.5, 1.5, 0.25, 1.0, 1.75]):
+            kernel.spawn(sleeper(f"s{i}", first))
+        kernel.run()
+        return order
+
+    first = run_once()
+    # due together, resumed in the order their second sleeps were taken
+    assert first == ["s2", "s0", "s3", "s1", "s4"]
+    assert all(run_once() == first for _ in range(3))
